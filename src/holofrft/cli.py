@@ -12,9 +12,11 @@ codes: 0 success, 1 verification failure, 2 usage or parse error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -35,7 +37,7 @@ from .errors import DegenerateCoordinateError, SupportError
 SIGNAL_HEADER = "x,re,im"
 FIELD_HEADER = "x,p,re,im,gauge,param"
 BASIS_HEADER = "n,z_re,z_im,re,im,provenance"
-NUM = "{:.16e}".format
+NUM = "%.16e"  # 17 significant digits, for one number or a %-template
 
 
 class ParseError(Exception):
@@ -69,7 +71,6 @@ class JobConfig:
     t_list: tuple[float, ...] = ()
     count: int | None = None
     R: float = 8.0
-    num_p: int | None = None
     n_max: int = 12
     tolerance: float | None = None
     criteria: tuple[int, ...] = ()
@@ -83,19 +84,205 @@ class JobConfig:
 
 
 # ---------------------------------------------------------------- file I/O
+#
+# Every CSV is written by one row formatter, and signal and field CSVs are
+# read by one parser; neither runs Python code per cell. Writing fills one
+# %-template per block of lines and streams it to the open file. Reading hands
+# the numeric columns to numpy's C CSV reader and checks the column counts,
+# finiteness and the repeated text columns in bulk; only a file that fails a
+# bulk check is scanned line by line, to name the first faulty line.
+
+def _line_templates(heads: list[str], ncols: int, tail: str = "") -> list[str]:
+    """One %-template per line: a head, ``ncols`` NUM numbers, a tail.
+
+    Heads and tail are written verbatim and must not contain ``%``.
+    """
+    body = ",".join([NUM] * ncols) + tail + "\n"
+    return [head + body for head in heads]
+
+
+def _write_lines(fh, templates: list[str], numbers: np.ndarray,
+                 lead: str = "") -> None:
+    """Write ``lead + templates[k]`` filled from row k of ``numbers``, for every k."""
+    fh.write((lead + lead.join(templates)) % tuple(numbers.ravel().tolist()))
+
+
+def _open_out(path: str):
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def write_signal(path: str, xs: np.ndarray, values: np.ndarray) -> None:
+    with _open_out(path) as fh:
+        fh.write(SIGNAL_HEADER + "\n")
+        _write_lines(fh, _line_templates([""] * len(xs), 3),
+                     np.column_stack((xs, values.real, values.imag)))
+
+
+def write_field(path: str, field: PlaneField) -> None:
+    templates = _line_templates(
+        [NUM % p + "," for p in field.grid.ps], 2,
+        f",{field.gauge.value},{field.param.describe()}")
+    pairs = np.stack((field.values.real, field.values.imag), axis=-1)
+    with _open_out(path) as fh:
+        fh.write(FIELD_HEADER + "\n")
+        for x, row in zip(field.grid.xs, pairs):
+            _write_lines(fh, templates, row, lead=NUM % x + ",")
+
+
+def _read_bytes(path: str) -> bytes:
+    """File contents with universal newlines, checked to be nonempty UTF-8."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from None
+    if b"\r" in data:  # the line ends a text-mode read would see
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not data.isascii():
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(f"{path}:{line}: not valid UTF-8") from None
+    # No valid file holds a NUL, and fixed-width bytes drop trailing NULs.
+    if b"\0" in data:
+        line = data.count(b"\n", 0, data.index(b"\0")) + 1
+        raise ParseError(f"{path}:{line}: NUL byte")
+    if not data or data.isspace():
+        raise ParseError(f"{path}: empty file")
+    return data
+
+
+# Whitespace-only lines, which the readers skip; numpy's reader skips only
+# empty ones, so they are emptied first (keeping the line numbering).
+_BLANK_LINE = re.compile(rb"\n[ \t\x0b\x0c\x1c-\x1f]+(?=\n)")
+_TEXT_LINE = re.compile(rb"[^\n]+")
+# Bytes kept per label: any "%.16e" number fits. A file with a longer label
+# is read once more with labels as wide as its longest line.
+_LABEL_WIDTH = 32
+
+
+def _read_table(path: str, data: bytes, header: str, labels: int,
+                numbers: int) -> tuple[np.ndarray, list[str]]:
+    """Rows of the CSV table ``data`` under ``header``.
+
+    Each row has the header's column count: ``labels`` numbers kept as their
+    text, ``numbers`` finite numbers, then text columns equal to the first
+    row's. Labels are grid coordinates that repeat from row to row, so the
+    caller parses each distinct one once. Returns the rows, as a structured
+    array with one field per leading column named as in the header, and the
+    first row's text columns.
+    """
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    end = data.index(b"\n")
+    if data[:end].decode("utf-8").strip() != header:
+        raise ParseError(f"{path}:1: header must be exactly '{header}'")
+    data = _BLANK_LINE.sub(b"\n", data)
+    first = _TEXT_LINE.search(data, end)
+    if first is None:
+        raise ParseError(f"{path}: no data rows")
+    names = header.split(",")
+    numeric = labels + numbers
+    text = first.group().decode("utf-8").split(",")[numeric:]
+    width = _LABEL_WIDTH
+    try:
+        while True:
+            rows = np.loadtxt(
+                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
+                dtype=[(name, f"S{width}") for name in names[:labels]]
+                + [(name, float) for name in names[labels:numeric]],
+                delimiter=",", comments=None, skiprows=1,
+                usecols=range(numeric), ndmin=1)
+            if all(np.char.str_len(rows[name]).max() < width
+                   for name in names[:labels]):
+                break
+            width = max(map(len, data.split(b"\n"))) + 1
+        # numpy has checked that every row starts with ``numeric`` columns.
+        # If every row also ends in the first row's text columns and the
+        # commas add up to len(names) - 1 per row, each row has exactly
+        # len(names) columns, as long as the text columns are not numbers
+        # themselves (callers reject such text: no gauge or param is one).
+        suffix = ("," + ",".join(text) + "\n").encode("utf-8")
+        if not (all(np.isfinite(rows[name]).all()
+                    for name in names[labels:numeric])
+                and data.count(b",", end) == (len(names) - 1) * rows.size
+                and (not text or data.count(suffix, end) == rows.size)):
+            raise ValueError("a row breaks the table's column format")
+    except ValueError as exc:
+        raise _faulty_line(path, data, header, numeric, str(exc)) from None
+    return rows, text
+
+
+def _faulty_line(path: str, data: bytes, header: str, numeric: int,
+                 problem: str, row: int | None = None) -> ParseError:
+    """The error naming the first line of a rejected table that breaks its format.
+
+    Runs only after a bulk check has failed. ``problem`` says which; it is
+    reported at data row ``row`` if no earlier line breaks the format, and
+    for the whole file if no line does.
+    """
+    ncols = header.count(",") + 1
+    what = "/".join(header.split(",")[numeric:])
+    text = None
+    data_row = -1
+    for lineno, raw in enumerate(io.BytesIO(data), start=1):
+        line = raw.decode("utf-8").rstrip("\n")
+        if lineno == 1 or not line:
+            continue
+        data_row += 1
+        parts = line.split(",")
+        if len(parts) != ncols:
+            return ParseError(
+                f"{path}:{lineno}: expected {ncols} columns, got {len(parts)}")
+        try:
+            values = [_number(part) for part in parts[:numeric]]
+        except ValueError:
+            return ParseError(f"{path}:{lineno}: non-numeric value")
+        if not all(math.isfinite(v) for v in values):
+            return ParseError(f"{path}:{lineno}: non-finite value")
+        if text is None:
+            text = parts[numeric:]
+        elif parts[numeric:] != text:
+            return ParseError(
+                f"{path}:{lineno}: {what} differs from earlier rows")
+        if data_row == row:
+            return ParseError(f"{path}:{lineno}: {problem}")
+    return ParseError(f"{path}: {problem}")
+
+
+def _number(token: str) -> float:
+    """``float(token)`` restricted to the syntax numpy's CSV reader accepts."""
+    if not token.isascii() or "_" in token:
+        raise ValueError(f"not a number: {token!r}")
+    return float(token)
+
+
+def _parse_labels(tokens: np.ndarray) -> np.ndarray:
+    """Finite numbers from label bytes, as the line scan would parse them."""
+    values = np.array([_number(token.decode("utf-8")) for token in tokens])
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite label")
+    return values
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Complex values with the exact bits of re and im (-0.0 included)."""
+    values = np.empty(re.shape, dtype=complex)
+    values.real, values.imag = re, im
+    return values
+
 
 def read_signal(path: str):
     """Signal from a coherent-sum JSON or a sampled CSV file."""
+    data = _read_bytes(path)
+    if path.endswith(".json") or data.lstrip()[:1] in (b"{", b"["):
+        return _coherent_from_json(path, data.decode("utf-8"))
+    rows, _ = _read_table(path, data, SIGNAL_HEADER, 0, 3)
     try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from None
-    if not text.strip():
-        raise ParseError(f"{path}: empty file")
-    if path.endswith(".json") or text.lstrip()[0] in "{[":
-        return _coherent_from_json(path, text)
-    return _samples_from_csv(path, text)
+        return Samples(rows["x"], _complex(rows["re"], rows["im"]))
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _coherent_from_json(path: str, text: str) -> CoherentSum:
@@ -113,8 +300,10 @@ def _coherent_from_json(path: str, text: str) -> CoherentSum:
     ws, ls = [], []
     for k, (w, lab) in enumerate(zip(weights, labels)):
         for name, pair in (("weights", w), ("labels", lab)):
+            # bool is an int subclass, but JSON true/false are not numbers.
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, (int, float)) for v in pair)
+                    or not all(isinstance(v, (int, float))
+                               and not isinstance(v, bool) for v in pair)
                     or not all(math.isfinite(v) for v in pair)):
                 raise ParseError(
                     f"{path}: {name}[{k}] must be a pair of finite numbers")
@@ -123,105 +312,35 @@ def _coherent_from_json(path: str, text: str) -> CoherentSum:
     return CoherentSum(tuple(ws), tuple(ls))
 
 
-def _samples_from_csv(path: str, text: str) -> Samples:
-    lines = text.splitlines()
-    if lines[0].strip() != SIGNAL_HEADER:
-        raise ParseError(f"{path}:1: header must be exactly '{SIGNAL_HEADER}'")
-    xs, vs = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(
-                f"{path}:{lineno}: expected 3 columns, got {len(parts)}")
-        try:
-            x, re, im = (float(part) for part in parts)
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric value") from None
-        if not (math.isfinite(x) and math.isfinite(re) and math.isfinite(im)):
-            raise ParseError(f"{path}:{lineno}: non-finite value")
-        xs.append(x)
-        vs.append(complex(re, im))
-    if not xs:
-        raise ParseError(f"{path}: no data rows")
-    try:
-        return Samples(np.asarray(xs), np.asarray(vs))
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
-
-
-def write_signal(path: str, xs: np.ndarray, values: np.ndarray) -> None:
-    lines = [SIGNAL_HEADER]
-    for x, v in zip(xs, values):
-        lines.append(f"{NUM(x)},{NUM(v.real)},{NUM(v.imag)}")
-    _write_text(path, "\n".join(lines) + "\n")
-
-
-def write_field(path: str, field: PlaneField) -> None:
-    meta = f"{field.gauge.value},{field.param.describe()}"
-    lines = [FIELD_HEADER]
-    for i, x in enumerate(field.grid.xs):
-        x_txt = NUM(x)
-        row = field.values[i]
-        for j, p in enumerate(field.grid.ps):
-            v = row[j]
-            lines.append(f"{x_txt},{NUM(p)},{NUM(v.real)},{NUM(v.imag)},{meta}")
-    _write_text(path, "\n".join(lines) + "\n")
-
-
 def read_field(path: str) -> PlaneField:
+    data = _read_bytes(path)
+    rows, meta = _read_table(path, data, FIELD_HEADER, 2, 2)
+    x_txt, p_txt = rows["x"], rows["p"]
+    # Row r must repeat the x of its block's first row and the p of row
+    # r % np_count; np_count is the length of the first run of equal x, and
+    # at least 2. A short last block puts its last row off the grid.
+    changes = np.flatnonzero(x_txt != x_txt[0])
+    np_count = max(int(changes[0]) if changes.size else rows.size, 2)
+    r = np.arange(rows.size)
+    off_grid = (x_txt != x_txt[r - r % np_count]) | (p_txt != p_txt[r % np_count])
+    off_grid[-1] |= rows.size % np_count != 0
+    if off_grid.any():
+        raise _faulty_line(path, data, FIELD_HEADER, 4,
+                           "rows do not form an x-major grid",
+                           row=int(np.argmax(off_grid)))
+    nx = rows.size // np_count
     try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}") from None
-    if not lines or not lines[0].strip():
-        raise ParseError(f"{path}: empty file")
-    if lines[0].strip() != FIELD_HEADER:
-        raise ParseError(f"{path}:1: header must be exactly '{FIELD_HEADER}'")
-    xs_txt, ps_txt, vals, meta = [], [], [], None
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 6:
-            raise ParseError(
-                f"{path}:{lineno}: expected 6 columns, got {len(parts)}")
-        try:
-            re, im = float(parts[2]), float(parts[3])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: non-numeric value") from None
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ParseError(f"{path}:{lineno}: non-finite value")
-        row_meta = (parts[4], parts[5])
-        if meta is None:
-            meta = row_meta
-        elif row_meta != meta:
-            raise ParseError(
-                f"{path}:{lineno}: gauge/param differs from earlier rows")
-        xs_txt.append(parts[0])
-        ps_txt.append(parts[1])
-        vals.append(complex(re, im))
-    if not vals:
-        raise ParseError(f"{path}: no data rows")
-    np_count = 0
-    while np_count < len(xs_txt) and xs_txt[np_count] == xs_txt[0]:
-        np_count += 1
-    if np_count < 2 or len(vals) % np_count:
-        raise ParseError(f"{path}: rows do not form an x-major grid")
-    nx = len(vals) // np_count
-    if xs_txt != [x for x in xs_txt[::np_count] for _ in range(np_count)] \
-            or ps_txt != ps_txt[:np_count] * nx:
-        raise ParseError(f"{path}: rows do not form an x-major grid")
+        xs, ps = _parse_labels(x_txt[::np_count]), _parse_labels(p_txt[:np_count])
+    except ValueError as exc:
+        raise _faulty_line(path, data, FIELD_HEADER, 4, str(exc)) from None
     try:
-        grid = PlaneGrid(np.array([float(x) for x in xs_txt[::np_count]]),
-                         np.array([float(p) for p in ps_txt[:np_count]]))
+        grid = PlaneGrid(xs, ps)
         gauge = Gauge(meta[0])
         param = _parse_param(meta[1])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    return PlaneField(grid, np.array(vals).reshape(nx, np_count), gauge, param)
+    values = _complex(rows["re"], rows["im"]).reshape(nx, np_count)
+    return PlaneField(grid, values, gauge, param)
 
 
 def _parse_param(text: str) -> TransformParameter:
@@ -243,13 +362,9 @@ def _parse_param(text: str) -> TransformParameter:
     return TransformParameter(t=probe.t, s=s)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
-
-
 def _write_json(path: str, obj: dict) -> None:
-    _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    with _open_out(path) as fh:
+        fh.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 # ------------------------------------------------------------ job plumbing
@@ -327,8 +442,7 @@ def _cmd_inverse(cfg: JobConfig) -> int:
         raise UsageError(
             f"--s {cfg.s!r} contradicts the field file (s={param.s!r})")
     xs = field.grid.xs
-    values, estimate = engine.sb_inverse(param.s, field, xs, cfg.R,
-                                         num_p=cfg.num_p)
+    values, estimate = engine.sb_inverse(param.s, field, xs, cfg.R)
     write_signal(cfg.out_path, xs, values)
     print(f"inverse at {_describe_line(param)}, R={cfg.R:g}, "
           f"truncation estimate {estimate:.3e} -> {cfg.out_path}")
@@ -402,16 +516,16 @@ def _cmd_basis(cfg: JobConfig) -> int:
     z0 = 0.6 + 0.45j
     zs = np.array([z0, -z0, 1j * z0, 0.5 * z0, 0.0], dtype=complex)
     cache = engine.build_basis_images(param.s, cfg.n_max, zs)
-    lines = [BASIS_HEADER]
-    for n in range(cfg.n_max + 1):
-        for z, v in zip(cache.points, cache.kernel_images[n]):
-            lines.append(f"{n},{NUM(z.real)},{NUM(z.imag)},"
-                         f"{NUM(v.real)},{NUM(v.imag)},quadrature")
-    for n in range(cache.claimed_images.shape[0]):
-        for z, v in zip(cache.points, cache.claimed_images[n]):
-            lines.append(f"{n},{NUM(z.real)},{NUM(z.imag)},"
-                         f"{NUM(v.real)},{NUM(v.imag)},claimed-closed-form")
-    _write_text(cfg.out_path, "\n".join(lines) + "\n")
+    columns = (cache.points.real, cache.points.imag)
+    with _open_out(cfg.out_path) as fh:
+        fh.write(BASIS_HEADER + "\n")
+        for provenance, images in (("quadrature", cache.kernel_images),
+                                   ("claimed-closed-form", cache.claimed_images)):
+            templates = _line_templates([""] * cache.points.size, 4, "," + provenance)
+            for n, image in enumerate(images):
+                _write_lines(fh, templates,
+                             np.column_stack((*columns, image.real, image.imag)),
+                             lead=f"{n},")
     print(f"basis images for s={param.s:.6g}, n <= {cfg.n_max} "
           f"(quadrature + claimed closed form) -> {cfg.out_path}")
     return 0
@@ -473,8 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     inv.add_argument("--s", type=float, help="cross-check against the file's s")
     inv.add_argument("--R", type=float, default=8.0,
                      help="p-truncation radius of the slice integral")
-    inv.add_argument("--num-p", type=int, dest="num_p",
-                     help="override the number of p nodes")
     inv.add_argument("--tol", type=float, dest="tolerance",
                      help="fail (exit 3) if the truncation estimate exceeds this")
     inv.add_argument("--out", required=True, dest="out_path", help="signal CSV")

@@ -61,10 +61,15 @@ class TestSignalIO:
         ("p,re,im\n0,1,2\n", "header"),
         ("x,re,im\n", "no data rows"),
         ("", "empty file"),
+        (b"x,re,im\n0,1,2\n\xff\xfe,1,2\n", ":3: not valid UTF-8"),
+        (b"x,re,im\n0,1,2\n1,3\x00,2\n", ":3: NUL byte"),
     ])
     def test_malformed_csv_reports_location(self, tmp_path, body, needle):
         path = tmp_path / "bad.csv"
-        path.write_text(body)
+        if isinstance(body, bytes):
+            path.write_bytes(body)
+        else:
+            path.write_text(body)
         with pytest.raises(cli.ParseError) as exc:
             read_signal(str(path))
         assert needle in str(exc.value)
@@ -75,6 +80,7 @@ class TestSignalIO:
         json.dumps({"weights": [[1, 0]]}),
         json.dumps({"weights": [[1, 0], [2, 0]], "labels": [[0, 0]]}),
         json.dumps({"weights": [[1, 0]], "labels": [["a", 0]]}),
+        json.dumps({"weights": [[True, False]], "labels": [[0, 0]]}),
     ])
     def test_malformed_json_rejected(self, tmp_path, body):
         path = tmp_path / "bad.json"
@@ -141,6 +147,15 @@ class TestFieldIO:
         bad = tmp_path / "bad_field.csv"
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(cli.ParseError, match=":6:"):
+            read_field(str(bad))
+
+    def test_non_utf8_field_file_rejected(self, tmp_path, packet_file):
+        out = self.make_field_file(tmp_path, packet_file)
+        lines = open(out, "rb").read().split(b"\n")
+        lines[4] = lines[4][:10] + b"\xff\xfe" + lines[4][10:]
+        bad = tmp_path / "bad_field.csv"
+        bad.write_bytes(b"\n".join(lines))
+        with pytest.raises(cli.ParseError, match="bad_field.csv:5: not valid UTF-8"):
             read_field(str(bad))
 
 
