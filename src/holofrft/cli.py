@@ -157,61 +157,66 @@ def _read_bytes(path: str) -> bytes:
 # empty ones, so they are emptied first (keeping the line numbering).
 _BLANK_LINE = re.compile(rb"\n[ \t\x0b\x0c\x1c-\x1f]+(?=\n)")
 _TEXT_LINE = re.compile(rb"[^\n]+")
-# Bytes kept per label: any "%.16e" number fits. A file with a longer label
-# is read once more with labels as wide as its longest line.
-_LABEL_WIDTH = 32
+# Least bytes kept per label: any "%.16e" number fits. Trailing text columns
+# keep the first row's width. A file with a longer text in some row is read
+# once more with texts as wide as its lines.
+_LABEL_WIDTH = 25
+
+
+def _table_bytes(data: bytes) -> bytes:
+    """``data`` ending in a newline, with whitespace-only lines emptied."""
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    return _BLANK_LINE.sub(b"\n", data)
 
 
 def _read_table(path: str, data: bytes, header: str, labels: int,
                 numbers: int) -> tuple[np.ndarray, list[str]]:
     """Rows of the CSV table ``data`` under ``header``.
 
-    Each row has the header's column count: ``labels`` numbers kept as their
-    text, ``numbers`` finite numbers, then text columns equal to the first
-    row's. Labels are grid coordinates that repeat from row to row, so the
-    caller parses each distinct one once. Returns the rows, as a structured
-    array with one field per leading column named as in the header, and the
-    first row's text columns.
+    Each row has the header's columns: ``labels`` numbers kept as their text,
+    ``numbers`` finite numbers, then text columns equal to the first row's.
+    Labels are grid coordinates that repeat from row to row, so the caller
+    parses each distinct one once. Returns the rows, as a structured array
+    with one field per column named as in the header, and the first row's
+    trailing text columns.
     """
-    if not data.endswith(b"\n"):
-        data += b"\n"
+    data = _table_bytes(data)
     end = data.index(b"\n")
     if data[:end].decode("utf-8").strip() != header:
         raise ParseError(f"{path}:1: header must be exactly '{header}'")
-    data = _BLANK_LINE.sub(b"\n", data)
     first = _TEXT_LINE.search(data, end)
     if first is None:
         raise ParseError(f"{path}: no data rows")
     names = header.split(",")
     numeric = labels + numbers
-    text = first.group().decode("utf-8").split(",")[numeric:]
-    width = _LABEL_WIDTH
+    tokens = dict(zip(names, first.group().split(b",")))
+    widths = {name: len(tokens.get(name, b"")) + 1 for name in names[numeric:]}
+    for name in names[:labels]:
+        widths[name] = max(len(tokens.get(name, b"")) + 1, _LABEL_WIDTH)
     try:
         while True:
+            # Latin-1 keeps every byte, so text columns hold the file's bytes.
             rows = np.loadtxt(
-                io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"),
-                dtype=[(name, f"S{width}") for name in names[:labels]]
-                + [(name, float) for name in names[labels:numeric]],
-                delimiter=",", comments=None, skiprows=1,
-                usecols=range(numeric), ndmin=1)
+                io.TextIOWrapper(io.BytesIO(data), encoding="latin-1"),
+                dtype=[(name, f"S{widths[name]}" if name in widths else float)
+                       for name in names],
+                delimiter=",", comments=None, skiprows=1, ndmin=1)
             if all(np.char.str_len(rows[name]).max() < width
-                   for name in names[:labels]):
+                   for name, width in widths.items()):
                 break
-            width = max(map(len, data.split(b"\n"))) + 1
-        # numpy has checked that every row starts with ``numeric`` columns.
-        # If every row also ends in the first row's text columns and the
-        # commas add up to len(names) - 1 per row, each row has exactly
-        # len(names) columns, as long as the text columns are not numbers
-        # themselves (callers reject such text: no gauge or param is one).
-        suffix = ("," + ",".join(text) + "\n").encode("utf-8")
-        if not (all(np.isfinite(rows[name]).all()
-                    for name in names[labels:numeric])
-                and data.count(b",", end) == (len(names) - 1) * rows.size
-                and (not text or data.count(suffix, end) == rows.size)):
-            raise ValueError("a row breaks the table's column format")
+            widths = dict.fromkeys(widths, max(map(len, data.split(b"\n"))) + 1)
+        # numpy has checked the column count of every row.
+        faulty = np.zeros(rows.size, dtype=bool)
+        for name in names[labels:numeric]:
+            faulty |= ~np.isfinite(rows[name])
+        for name in names[numeric:]:
+            faulty |= rows[name] != rows[name][0]
+        if faulty.any():
+            raise ValueError("a row breaks the table's format")
     except ValueError as exc:
         raise _faulty_line(path, data, header, numeric, str(exc)) from None
-    return rows, text
+    return rows, [rows[name][0].decode("utf-8") for name in names[numeric:]]
 
 
 def _faulty_line(path: str, data: bytes, header: str, numeric: int,
@@ -226,7 +231,7 @@ def _faulty_line(path: str, data: bytes, header: str, numeric: int,
     what = "/".join(header.split(",")[numeric:])
     text = None
     data_row = -1
-    for lineno, raw in enumerate(io.BytesIO(data), start=1):
+    for lineno, raw in enumerate(io.BytesIO(_table_bytes(data)), start=1):
         line = raw.decode("utf-8").rstrip("\n")
         if lineno == 1 or not line:
             continue

@@ -215,13 +215,34 @@ class TestLayout:
                            match="layout_field.csv:8: rows do not form"):
             cli.read_field(self.field_file(workdir, b"\n".join(lines)))
 
-    def test_grid_break_names_its_line(self, workdir, valid_files):
-        lines = valid_files["field"][0].split(b"\n")
-        swapped = lines[:10] + [lines[11], lines[10]] + lines[12:]
+    @pytest.mark.parametrize("blank", [b"", b" \t\n"],
+                             ids=["no blank line", "whitespace line"])
+    def test_grid_break_names_its_line(self, workdir, valid_files, blank):
+        # A whitespace-only line is skipped but still counts in the numbering.
+        lines = valid_files["field"][0].replace(b"\n", b"\n" + blank, 1) \
+            .split(b"\n")
+        at = 10 + blank.count(b"\n")
+        swapped = lines[:at] + [lines[at + 1], lines[at]] + lines[at + 2:]
         with pytest.raises(cli.ParseError,
-                           match="layout_field.csv:11: rows do not form"):
+                           match=f"layout_field.csv:{at + 1}: rows do not form"):
             cli.read_field(self.field_file(workdir, b"\n".join(swapped)))
+        lines = valid_files["field"][0].split(b"\n")
         # A short last block: the file ends inside it.
         with pytest.raises(cli.ParseError,
                            match="layout_field.csv:12: rows do not form"):
             cli.read_field(self.field_file(workdir, b"\n".join(lines[:12]) + b"\n"))
+
+    @pytest.mark.parametrize("short, long, tail", [
+        (b"-1.0,-1.0,0,0", b"-1.0,1.0,0,0,a,b,c,d",
+         b",holomorphic,t=0.0000000000000000e+00;s=0.0000000000000000e+00"),
+        (b"-1.0,-1.0,0,0,holomorphic", b"-1.0,1.0,0,0,a,b,holomorphic",
+         b",a,holomorphic"),
+    ], ids=["gauge and param dropped", "param dropped"])
+    def test_short_row_balanced_by_a_long_one(self, workdir, short, long, tail):
+        # The file has as many commas as a valid one, and every row ends in
+        # the first row's text columns; each row's column count still counts.
+        body = b"\n".join([cli.FIELD_HEADER.encode(), short, long,
+                           b"1.0,-1.0,0,0" + tail, b"1.0,1.0,0,0" + tail]) + b"\n"
+        with pytest.raises(cli.ParseError,
+                           match="layout_field.csv:2: expected 6 columns, got "):
+            cli.read_field(self.field_file(workdir, body))
