@@ -7,6 +7,9 @@ Produces:
   chirp.csv      Gaussian-windowed linear chirp, sampled on a uniform grid
 
 JSON labels are [P, Q] pairs (momentum, position); weights are [re, im].
+The JSON files are reproduced byte for byte. chirp.csv is reproduced only up
+to the platform's exp/sin/cos rounding: with numpy 2.4.6 one value (line 318)
+differs from the committed file in its last digit.
 """
 
 from __future__ import annotations

@@ -76,7 +76,6 @@ from .engine import (  # noqa: E402
 from .hermite import (  # noqa: E402
     hermite_analyze,
     hermite_basis,
-    hermite_function,
     hermite_poly,
     hermite_synthesize,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "hermite",
     "hermite_analyze",
     "hermite_basis",
-    "hermite_function",
     "hermite_poly",
     "hermite_synthesize",
     "hfrft_apply",

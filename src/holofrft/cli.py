@@ -349,10 +349,12 @@ def read_field(path: str) -> PlaneField:
 
 
 def _parse_param(text: str) -> TransformParameter:
+    match = re.fullmatch(r"t=([^;]*);s=([^;]*)", text)
+    if match is None:
+        raise ValueError(f"bad param string {text!r}")
+    t_txt, s_part = match.groups()
     try:
-        t_txt, s_txt = text.split(";")
-        probe = TransformParameter.from_t(float(t_txt.removeprefix("t=")))
-        s_part = s_txt.removeprefix("s=")
+        probe = TransformParameter.from_t(float(t_txt))
     except ValueError:
         raise ValueError(f"bad param string {text!r}") from None
     if s_part == "inf":
@@ -402,10 +404,10 @@ def _build_field(cfg: JobConfig, signal, param: TransformParameter,
         if cfg.method == "kernel":
             field = engine.sb_field(param.s, signal, grid, cfg.order)
         else:
-            coeffs = engine.hermite_analyze(signal, param.s, cfg.spectral_order)
+            coeffs = engine.hermite_analyze(signal, param.s, cfg.spectral_order,
+                                            cfg.order)
             cache = engine.build_basis_images(
-                param.s, cfg.spectral_order, grid.z_values(param.s).ravel(),
-                order=cfg.order)
+                param.s, cfg.spectral_order, grid.z_values(param.s).ravel())
             raw = engine.sb_spectral_apply(param.s, coeffs, cache)
             field = PlaneField(grid, raw.reshape(grid.shape),
                                Gauge.HOLOMORPHIC, param)
@@ -520,13 +522,12 @@ def _cmd_basis(cfg: JobConfig) -> int:
         raise UsageError("basis images need 0 < s < inf")
     z0 = 0.6 + 0.45j
     zs = np.array([z0, -z0, 1j * z0, 0.5 * z0, 0.0], dtype=complex)
-    cache = engine.build_basis_images(param.s, cfg.n_max, zs)
-    columns = (cache.points.real, cache.points.imag)
+    table = engine.basis_image_table(param.s, cfg.n_max, zs)
+    columns = (zs.real, zs.imag)
     with _open_out(cfg.out_path) as fh:
         fh.write(BASIS_HEADER + "\n")
-        for provenance, images in (("quadrature", cache.kernel_images),
-                                   ("claimed-closed-form", cache.claimed_images)):
-            templates = _line_templates([""] * cache.points.size, 4, "," + provenance)
+        for provenance, images in table.items():
+            templates = _line_templates([""] * zs.size, 4, "," + provenance)
             for n, image in enumerate(images):
                 _write_lines(fh, templates,
                              np.column_stack((*columns, image.real, image.imag)),
@@ -557,7 +558,9 @@ def _add_method_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--spectral-order", type=int,
                      default=engine.DEFAULT_SPECTRAL_ORDER,
                      help="basis truncation degree for --method spectral")
-    sub.add_argument("--order", type=int, help="quadrature rule order override")
+    sub.add_argument("--order", type=int,
+                     help="quadrature rule order override (for --method "
+                          "spectral: the projection rule)")
 
 
 def build_parser() -> argparse.ArgumentParser:

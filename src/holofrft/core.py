@@ -136,7 +136,7 @@ class Samples:
 
 
 # A signal is one of the three representations above (callables are also
-# accepted by the engine for oracle work; see engine.evaluate_signal).
+# accepted by the engine for oracle work; see hermite.evaluate_signal).
 Signal = CoherentSum | HermiteRep | Samples
 
 

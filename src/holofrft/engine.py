@@ -3,13 +3,11 @@
 The forward transform is a Gaussian convolution followed by analytic
 continuation,
 
-    SB_s f(z) = (2 pi s)^{-1/2} integral exp(-(z - x')^2 / (2s)) f(x') dx',
+    SB_s f(z) = (2 pi s)^{-1/2} integral exp(-(z - x')^2 / (2s)) f(x') dx'.
 
-evaluated with a per-point recentered Gauss-Hermite rule matched to the
-product envelope of the kernel and the signal. Writing z = c + i b the kernel
-splits as
+Writing z = c + i b with b = s p, the kernel splits as
 
-    exp(-(z-x')^2/2s) = e^{b^2/2s} exp(-(c-x')^2/2s) exp(i (b/s)(x'-c)),
+    exp(-(z-x')^2/2s) = e^{b^2/2s} exp(-(c-x')^2/2s) exp(i p (x'-c)),
 
 so the engine always computes the bounded "reduced" sum (everything except
 e^{b^2/2s}). Weighted-gauge callers never form the growth factor at all: the
@@ -17,10 +15,16 @@ e^{-s p^2/2} of the gauge cancels it exactly, which keeps field builds free of
 large exponentials. Holomorphic-gauge callers multiply it back under an
 overflow guard.
 
-Field builds over a tensor grid use a separability speedup: with per-x
-centers m and rule offsets u the phase splits as
-e^{i p (x'-c)} = e^{i p (m-c)} e^{i p u}, turning the build into one matrix
-product per signal term.
+One row builder serves every kernel build. For each distinct real part c it
+places nodes m(c) + u_k (sampled signals: their own grid with m = 0; others:
+a Gauss-Hermite rule matched to the kernel-times-envelope Gaussian and
+recentered on m(c)) and forms the row kernel x f(node) x weight. Since
+e^{i p (x'-c)} = e^{i p (m-c)} e^{i p u}, a tensor grid then needs one matrix
+product per field build, and arbitrary points one row gather per point.
+
+The spectral route uses the closed-form images of the scale-s basis
+functions; claimed-table images and kernel quadrature of the basis exist only
+for the audit of the claimed table.
 """
 
 from __future__ import annotations
@@ -31,7 +35,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import closedform
-from .closedform import coherent_state, sb_coherent
 from .core import (
     CoherentLabel,
     CoherentSum,
@@ -45,53 +48,24 @@ from .core import (
     gauge_factor,
     measure_density,
 )
-from .errors import SupportError
-from .hermite import hermite_analyze, hermite_basis, hermite_synthesize
-from .quadrature import (
-    MAX_ORDER,
-    QuadratureRule,
-    required_order,
-    tail_fraction,
+from .errors import IntegrationDomainError, SupportError
+# hermite_analyze and hermite_basis stay importable from the engine, where
+# the CLI and the benchmark's tracer reach them.
+from .hermite import (  # noqa: F401
+    MAX_DEGREE,
+    evaluate_signal,
+    hermite_analyze,
+    hermite_basis,
+    signal_envelope,
 )
+from .quadrature import QuadratureRule, required_order, tail_fraction
 
 DEFAULT_ORDER = 64
 DEFAULT_SPECTRAL_ORDER = 40
 BOUNDARY_TAIL = 1e-10
+CLAIMED_MAX = 12  # highest degree of the claimed basis-image table
 _CHUNK = 4096
 _EXP_LIMIT = 700.0  # exponent ceiling before float64 overflow
-
-
-def evaluate_signal(signal, x) -> np.ndarray:
-    """Pointwise complex values of any supported signal representation."""
-    x = np.asarray(x, dtype=float)
-    if isinstance(signal, CoherentSum):
-        return closedform.coherent_sum_values(signal.weights, signal.labels, x)
-    if isinstance(signal, HermiteRep):
-        return hermite_synthesize(signal.coeffs, signal.s, x)
-    if isinstance(signal, Samples):
-        re = np.interp(x, signal.xs, signal.values.real, left=0.0, right=0.0)
-        im = np.interp(x, signal.xs, signal.values.imag, left=0.0, right=0.0)
-        return re + 1j * im
-    if callable(signal):
-        return np.asarray(signal(x), dtype=complex)
-    raise TypeError(f"unsupported signal type {type(signal).__name__}")
-
-
-def _envelope(signal) -> tuple[float, float, float]:
-    """Gaussian envelope model (precision, center, oscillation) of a signal.
-
-    precision lam means |f(x)| <~ e^{-lam (x - center)^2}; oscillation is the
-    largest phase frequency the signal carries. Unknown structure maps to
-    (0, 0, 0) and is then covered by the kernel envelope and tail checks.
-    """
-    if isinstance(signal, CoherentSum):
-        qs = [lab.Q for lab in signal.labels]
-        return 0.5, (min(qs) + max(qs)) / 2, max(abs(lab.P) for lab in signal.labels)
-    if isinstance(signal, HermiteRep):
-        return 1 / (4 * signal.s), 0.0, 0.0
-    if isinstance(signal, Samples):
-        return 0.0, float(0.5 * (signal.xs[0] + signal.xs[-1])), 0.0
-    return 0.0, 0.0, 0.0
 
 
 def _poly_margin(signal) -> int:
@@ -99,20 +73,6 @@ def _poly_margin(signal) -> int:
     if isinstance(signal, HermiteRep):
         return signal.coeffs.size // 2 + 8
     return 0
-
-
-def _kernel_rule(s: float, signal, max_abs_p: float,
-                 order: int | None) -> tuple[QuadratureRule, float, float]:
-    """Envelope-matched rule plus (product precision, signal center)."""
-    lam, center_f, osc = _envelope(signal)
-    a = 1 / (2 * s) + lam
-    sigma = 1 / math.sqrt(a)
-    if order is None:
-        base = DEFAULT_ORDER + _poly_margin(signal)
-        order = max(base, required_order(max_abs_p + osc, sigma, minimum=1))
-    rule = QuadratureRule.gauss_hermite(int(order), center=0.0, scale=sigma)
-    rule.check_oscillation(max_abs_p + osc)
-    return rule, a, center_f
 
 
 def _check_sample_bandwidth(signal: Samples, freq: float) -> None:
@@ -131,144 +91,154 @@ def _check_sample_bandwidth(signal: Samples, freq: float) -> None:
             suggestion=needed)
 
 
-def _reduced_at_points(s: float, signal, points: np.ndarray,
-                       order: int | None = None) -> np.ndarray:
-    """Reduced transform values at arbitrary complex points (flattened loop).
+def _kernel_rows(s: float, signal, cs: np.ndarray, max_freq: float,
+                 order: int | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Reduced-kernel rows at the real parts ``cs``: (rows, offsets, centers).
 
-    Sampled signals integrate on their own grid (trapezoid weights, exact
-    sample values); other signals use a per-point recentered Gauss-Hermite
-    rule matched to the kernel-times-envelope Gaussian.
+    Row i holds kernel x f(node) x weight at the nodes centers[i] + offsets,
+    so the reduced transform at c_i + i s p is
+    e^{i p (centers[i] - c_i)} sum_k rows[i, k] e^{i p offsets[k]} / sqrt(2 pi s)
+    for |p| <= max_freq. Sampled signals integrate on their own grid
+    (trapezoid weights, exact sample values); other signals use a
+    Gauss-Hermite rule matched to the kernel-times-envelope Gaussian.
     """
-    pts = np.asarray(points, dtype=complex)
-    flat = pts.ravel()
-    c = flat.real
-    b = flat.imag
-    max_freq = float(np.max(np.abs(b))) / s if flat.size else 0.0
-    out = np.empty(flat.shape, dtype=complex)
-    norm = 1 / math.sqrt(2 * math.pi * s)
     if isinstance(signal, Samples):
         _check_sample_bandwidth(signal, max_freq)
-        xs = signal.xs[None, :]
-        fw = signal.values * QuadratureRule.trapezoid(signal.xs).weights
-        for start in range(0, flat.size, _CHUNK):
-            sl = slice(start, min(start + _CHUNK, flat.size))
-            cc = c[sl][:, None]
-            bb = b[sl][:, None]
-            with np.errstate(under="ignore"):
-                weighted = np.exp(-(cc - xs) ** 2 / (2 * s)
-                                  + 1j * (bb / s) * (xs - cc)) * fw[None, :]
-            frac = tail_fraction(weighted)
-            if frac > BOUNDARY_TAIL:
-                raise SupportError(
-                    f"sample grid too short: kernel-weighted edge fraction "
-                    f"{frac:.2e} exceeds {BOUNDARY_TAIL:.0e}; extend the "
-                    f"sample range")
-            out[sl] = weighted.sum(axis=1) * norm
-        return out.reshape(pts.shape)
-    rule, a, center_f = _kernel_rule(s, signal, max_freq, order)
-    lam = a - 1 / (2 * s)
-    for start in range(0, flat.size, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, flat.size))
-        cc = c[sl][:, None]
-        bb = b[sl][:, None]
-        m = (cc / (2 * s) + lam * center_f) / a
-        nodes = m + rule.nodes[None, :]
-        with np.errstate(under="ignore"):
-            kernel = np.exp(-(cc - nodes) ** 2 / (2 * s)
-                            + 1j * (bb / s) * (nodes - cc))
-            terms = kernel * evaluate_signal(signal, nodes)
-            weighted = terms * rule.absorbed[None, :]
-        frac = tail_fraction(weighted)
-        if frac > BOUNDARY_TAIL:
-            raise SupportError(
-                f"kernel quadrature tail fraction {frac:.2e} exceeds "
-                f"{BOUNDARY_TAIL:.0e}; raise the order",
-                suggestion=2 * rule.order)
-        out[sl] = weighted.sum(axis=1) * norm
-    return out.reshape(pts.shape)
+        offsets = nodes = signal.xs
+        centers = np.zeros_like(cs)
+        # the trapezoid weights multiply the exact samples before the kernel
+        # does; that order fixes the bits of sampled fields
+        values = signal.values * QuadratureRule.trapezoid(nodes).absorbed
+        weights = 1.0
+        remedy, suggestion = "extend the sample range", None
+    else:
+        lam, center_f, osc = signal_envelope(signal)
+        a = 1 / (2 * s) + lam
+        lam = a - 1 / (2 * s)  # as rounded into a: keeps node centers' bits
+        sigma = 1 / math.sqrt(a)
+        if order is None:
+            order = max(DEFAULT_ORDER + _poly_margin(signal),
+                        required_order(max_freq + osc, sigma, minimum=1))
+        rule = QuadratureRule.gauss_hermite(int(order), center=0.0, scale=sigma)
+        rule.check_oscillation(max_freq + osc)
+        offsets, weights = rule.nodes, rule.absorbed
+        centers = (cs / (2 * s) + lam * center_f) / a
+        nodes = centers[:, None] + offsets[None, :]
+        values = evaluate_signal(signal, nodes)
+        remedy, suggestion = "raise the order", 2 * rule.order
+    with np.errstate(under="ignore", invalid="ignore"):  # checked below
+        rows = np.exp(-(cs[:, None] - nodes) ** 2 / (2 * s)) * values * weights
+    bad = ~np.isfinite(rows)
+    if bad.any():
+        i, k = np.argwhere(bad)[0]
+        raise IntegrationDomainError(
+            f"integrand is non-finite at node x' = "
+            f"{centers[i] + offsets[k]:.17g} (real part {cs[i]:.17g})")
+    frac = tail_fraction(rows)
+    if frac > BOUNDARY_TAIL:
+        raise SupportError(
+            f"kernel quadrature tail fraction {frac:.2e} exceeds "
+            f"{BOUNDARY_TAIL:.0e}; {remedy}", suggestion=suggestion)
+    return rows, offsets, centers
 
 
 def _reduced_on_grid(s: float, signal, grid: PlaneGrid,
                      order: int | None = None) -> np.ndarray:
-    """Reduced transform values on a tensor grid via the separable fast path.
-
-    Signal routing as in :func:`_reduced_at_points`.
-    """
-    xs = grid.xs
+    """Reduced transform values on a tensor grid: one matrix product."""
     ps = grid.ps
-    max_freq = float(np.max(np.abs(ps)))
-    if isinstance(signal, Samples):
-        _check_sample_bandwidth(signal, max_freq)
-        nodes1 = signal.xs                                     # fixed nodes
-        fw = signal.values * QuadratureRule.trapezoid(nodes1).weights
-        with np.errstate(under="ignore"):
-            kernel = np.exp(-(xs[:, None] - nodes1[None, :]) ** 2 / (2 * s))
-            v = kernel * fw[None, :]
-            osc = np.exp(1j * np.multiply.outer(ps, nodes1))   # (np, M)
-            phase = np.exp(-1j * np.multiply.outer(xs, ps))    # (nx, np)
-        frac = tail_fraction(v)
-        if frac > BOUNDARY_TAIL:
-            raise SupportError(
-                f"sample grid too short: kernel-weighted edge fraction "
-                f"{frac:.2e} exceeds {BOUNDARY_TAIL:.0e}; extend the sample "
-                f"range")
-        return phase * (v @ osc.T) / math.sqrt(2 * math.pi * s)
-    rule, a, center_f = _kernel_rule(s, signal, max_freq, order)
-    lam = a - 1 / (2 * s)
-    m = (xs / (2 * s) + lam * center_f) / a          # per-column center
-    nodes = m[:, None] + rule.nodes[None, :]          # (nx, order)
+    rows, offsets, centers = _kernel_rows(
+        s, signal, grid.xs, float(np.max(np.abs(ps))), order)
     with np.errstate(under="ignore"):
-        kernel = np.exp(-(xs[:, None] - nodes) ** 2 / (2 * s))
-        v = kernel * evaluate_signal(signal, nodes) * rule.absorbed[None, :]
-        osc = np.exp(1j * np.multiply.outer(ps, rule.nodes))   # (np, order)
-        phase = np.exp(1j * np.multiply.outer(m - xs, ps))     # (nx, np)
-    frac = tail_fraction(v)
-    if frac > BOUNDARY_TAIL:
-        raise SupportError(
-            f"kernel quadrature tail fraction {frac:.2e} exceeds "
-            f"{BOUNDARY_TAIL:.0e}; raise the order", suggestion=2 * rule.order)
-    return phase * (v @ osc.T) / math.sqrt(2 * math.pi * s)
+        osc = np.exp(1j * np.multiply.outer(ps, offsets))              # (np, K)
+        phase = np.exp(1j * np.multiply.outer(centers - grid.xs, ps))  # (nx, np)
+    return phase * (rows @ osc.T) / math.sqrt(2 * math.pi * s)
 
 
 def sb_kernel_apply(s: float, signal, points,
                     order: int | None = None) -> np.ndarray:
     """Holomorphic-gauge transform values at complex points z = x + i s p.
 
-    Direct quadrature route. Values grow like e^{(Im z)^2 / 2s}; an overflow
+    Direct quadrature route: rows are built once per distinct real part and
+    contracted per point. Values grow like e^{(Im z)^2 / 2s}; an overflow
     guard raises SupportError where that exceeds float64 (build the weighted
     gauge instead via hfrft_apply in that regime).
     """
     if not (0.0 < s < math.inf):
         raise ValueError(f"s must be positive and finite, got {s!r}")
     pts = np.asarray(points, dtype=complex)
+    if not pts.size:
+        return np.zeros(pts.shape, dtype=complex)
     growth = pts.imag ** 2 / (2 * s)
-    if pts.size and growth.max() > _EXP_LIMIT:
+    if growth.max() > _EXP_LIMIT:
         raise SupportError(
             "holomorphic-gauge values overflow float64 at these points; "
             "use the weighted gauge")
-    return np.exp(growth) * _reduced_at_points(s, signal, pts, order)
+    flat = pts.ravel()
+    ps = flat.imag / s
+    cs, row_of = np.unique(flat.real, return_inverse=True)
+    rows, offsets, centers = _kernel_rows(
+        s, signal, cs, float(np.max(np.abs(ps))), order)
+    reduced = np.empty(flat.shape, dtype=complex)
+    for start in range(0, flat.size, _CHUNK):
+        sl = slice(start, start + _CHUNK)
+        row = row_of[sl]
+        with np.errstate(under="ignore"):
+            osc = np.exp(1j * np.multiply.outer(ps[sl], offsets))
+            phase = np.exp(1j * ps[sl] * (centers[row] - flat.real[sl]))
+        reduced[sl] = phase * np.einsum("ck,ck->c", rows[row], osc)
+    reduced /= math.sqrt(2 * math.pi * s)
+    return np.exp(growth) * reduced.reshape(pts.shape)
 
 
 @dataclass(frozen=True, eq=False)
 class BasisImageCache:
-    """Transform images of the scale-s basis functions at fixed plane points.
-
-    Two provenances are stored side by side: ``kernel_images`` come from the
-    quadrature engine (rows n = 0..n_max), ``claimed_images`` from the
-    closed-form coefficient table d_{s,n} z^n e^{-z^2/(6s)} (rows
-    n = 0..claimed_max). The two disagree by design for n >= 1; see
-    basis_image_audit.
-    """
+    """Closed-form images of the scale-s basis functions at fixed plane points."""
 
     s: float
-    points: np.ndarray          # complex, flat
-    kernel_images: np.ndarray   # (n_max+1, len(points))
-    claimed_images: np.ndarray  # (claimed_max+1, len(points))
-    order: int
+    points: np.ndarray  # complex, flat
+    images: np.ndarray  # (n_max+1, len(points))
 
     @property
     def n_max(self) -> int:
-        return self.kernel_images.shape[0] - 1
+        return self.images.shape[0] - 1
+
+    @property
+    def order(self) -> int:
+        """Evaluations per image value: 1, since each is a closed form."""
+        return 1
+
+
+def build_basis_images(s: float, n_max: int, points) -> BasisImageCache:
+    """Images G_n = SB_s h_n^s, n = 0 .. n_max, at the given complex points.
+
+    SB_s is a heat flow, so it turns multiplication by x into z + s d/dz and
+    maps the basis recurrence onto a closed form (a Bargmann-type transform
+    of the Hermite functions):
+
+        G_n(z) = (2s)^{-1/4} pi^{-1/2} (2/3)^{1/2} (sqrt(s)/2)^n (n!)^{-1/2}
+                 H_n^{3s/4}(z) e^{-z^2/(6s)},
+
+    evaluated through the normalized recurrence
+    G_{n+1} = 2z / (3 sqrt(s (n+1))) G_n - sqrt(n/(n+1)) / 3 G_{n-1}.
+    """
+    if not (0.0 < s < math.inf):
+        raise ValueError(f"s must be positive and finite, got {s!r}")
+    if not 0 <= n_max <= MAX_DEGREE:
+        raise ValueError(f"degree must lie in [0, {MAX_DEGREE}], got {n_max!r}")
+    pts = np.asarray(points, dtype=complex).ravel()
+    if pts.size and float(np.max(pts.imag ** 2)) / (2 * s) > _EXP_LIMIT:
+        raise SupportError("basis images overflow float64 at these points")
+    images = np.empty((n_max + 1, pts.size), dtype=complex)
+    step = 2 * pts / (3 * math.sqrt(s))
+    with np.errstate(under="ignore"):
+        images[0] = (2 * s) ** -0.25 * math.pi ** -0.5 * math.sqrt(2 / 3) \
+            * np.exp(-pts * pts / (6 * s))
+        if n_max >= 1:
+            images[1] = step * images[0]
+        for n in range(1, n_max):
+            images[n + 1] = step / math.sqrt(n + 1) * images[n] \
+                - math.sqrt(n / (n + 1)) / 3 * images[n - 1]
+    return BasisImageCache(s=s, points=pts, images=images)
 
 
 def claimed_basis_image(s: float, n: int, z) -> np.ndarray:
@@ -280,39 +250,24 @@ def claimed_basis_image(s: float, n: int, z) -> np.ndarray:
     return d_sn * z ** n * np.exp(-z * z / (6 * s))
 
 
-def build_basis_images(s: float, n_max: int, points,
-                       order: int | None = None,
-                       claimed_max: int | None = None) -> BasisImageCache:
-    """Images of h_0^s .. h_{n_max}^s at the given complex points.
+def basis_image_table(s: float, n_max: int, z,
+                      order: int | None = None) -> dict[str, np.ndarray]:
+    """Basis images at points z by two provenances, keyed by provenance.
 
-    The kernel rows share one envelope-matched rule (the basis functions all
-    decay like e^{-x^2/4s}); the claimed rows cover n <= min(n_max, 12).
+    ``quadrature`` rows n = 0..n_max are the kernel quadrature of each unit
+    basis signal; ``claimed-closed-form`` rows n = 0..min(n_max, CLAIMED_MAX)
+    come from the claimed table d_{s,n} z^n e^{-z^2/(6s)}. The two disagree
+    by design for n >= 1; see basis_image_audit.
     """
-    pts = np.asarray(points, dtype=complex).ravel()
-    growth = pts.imag ** 2 / (2 * s)
-    if pts.size and growth.max() > _EXP_LIMIT:
-        raise SupportError("basis images overflow float64 at these points")
-    probe = HermiteRep(s, np.ones(n_max + 1, dtype=complex))
-    rule, a, _ = _kernel_rule(s, probe, float(np.max(np.abs(pts.imag)) / s) if pts.size else 0.0, order)
-    images = np.empty((n_max + 1, pts.size), dtype=complex)
-    amp = np.exp(growth)
-    norm = 1 / math.sqrt(2 * math.pi * s)
-    for start in range(0, pts.size, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, pts.size))
-        cc = pts.real[sl][:, None]
-        bb = pts.imag[sl][:, None]
-        m = cc / (2 * s) / a
-        nodes = m + rule.nodes[None, :]
-        with np.errstate(under="ignore"):
-            kernel = np.exp(-(cc - nodes) ** 2 / (2 * s)
-                            + 1j * (bb / s) * (nodes - cc)) * rule.absorbed[None, :]
-            basis = hermite_basis(n_max, s, nodes)     # (n+1, chunk, order)
-        images[:, sl] = np.einsum("co,nco->nc", kernel, basis) * amp[sl] * norm
-    c_max = min(n_max, 12) if claimed_max is None else min(claimed_max, n_max)
-    claimed = np.stack([claimed_basis_image(s, n, pts)
-                        for n in range(c_max + 1)])
-    return BasisImageCache(s=s, points=pts, kernel_images=images,
-                           claimed_images=claimed, order=rule.order)
+    z = np.asarray(z, dtype=complex)
+    return {
+        "quadrature": np.stack([
+            sb_kernel_apply(s, HermiteRep(s, np.eye(n + 1)[n]), z, order)
+            for n in range(n_max + 1)]),
+        "claimed-closed-form": np.stack([
+            claimed_basis_image(s, n, z)
+            for n in range(min(n_max, CLAIMED_MAX) + 1)]),
+    }
 
 
 def sb_spectral_apply(s: float, coeffs, cache: BasisImageCache) -> np.ndarray:
@@ -323,7 +278,7 @@ def sb_spectral_apply(s: float, coeffs, cache: BasisImageCache) -> np.ndarray:
             f"{coeffs.size} coefficients exceed cache degree {cache.n_max}")
     if abs(s - cache.s) > 1e-14 * max(s, cache.s):
         raise ValueError("cache was built for a different scale")
-    return coeffs @ cache.kernel_images[:coeffs.size]
+    return coeffs @ cache.images[:coeffs.size]
 
 
 def hfrft_apply(param: TransformParameter, signal, grid: PlaneGrid,
@@ -334,7 +289,9 @@ def hfrft_apply(param: TransformParameter, signal, grid: PlaneGrid,
     t = 0 embeds the signal as a p-independent field (identity member);
     t = pi/2 delegates to endpoint_apply. The kernel method cancels all
     growing exponentials analytically; the spectral method projects onto
-    spectral_order + 1 basis functions first and uses cached basis images.
+    spectral_order + 1 basis functions first and uses their closed-form
+    images. ``order`` fixes the rule order of the kernel quadrature or, for
+    the spectral method, of the projection.
     """
     if param.is_identity:
         vals = np.broadcast_to(
@@ -348,9 +305,8 @@ def hfrft_apply(param: TransformParameter, signal, grid: PlaneGrid,
         vals = (1 + s * s) ** 0.25 * reduced
         return PlaneField(grid, vals, Gauge.WEIGHTED, param)
     if method == "spectral":
-        coeffs = hermite_analyze(signal, s, spectral_order)
-        cache = build_basis_images(s, spectral_order, grid.z_values(s).ravel(),
-                                   order=order)
+        coeffs = hermite_analyze(signal, s, spectral_order, order)
+        cache = build_basis_images(s, spectral_order, grid.z_values(s).ravel())
         raw = sb_spectral_apply(s, coeffs, cache).reshape(grid.shape)
         vals = raw * gauge_factor(param, grid.ps)[None, :]
         return PlaneField(grid, vals, Gauge.WEIGHTED, param)
@@ -362,7 +318,7 @@ def sb_field(s: float, signal, grid: PlaneGrid,
     """Holomorphic-gauge field over a tensor grid (separable fast path).
 
     Same quantity as sb_kernel_apply on grid.z_values(s), assembled with one
-    matrix product instead of a per-point loop.
+    matrix product instead of a per-point contraction.
     """
     if not (0.0 < s < math.inf):
         raise ValueError(f"s must be positive and finite, got {s!r}")
@@ -396,7 +352,7 @@ def endpoint_apply(signal, grid: PlaneGrid,
         rule = QuadratureRule.trapezoid(signal.xs)
         f_vals = signal.values
     else:
-        lam, center_f, osc = _envelope(signal)
+        lam, center_f, osc = signal_envelope(signal)
         if lam == 0.0:
             lam = 1 / 32  # callables: wide default envelope, tail-checked below
         sigma = 1 / math.sqrt(lam)
@@ -526,21 +482,6 @@ def norm_hs(field: PlaneField) -> float:
             * np.exp(-s * field.grid.ps ** 2)[None, :]
     _check_field_tail(np.sqrt(dens), "holomorphic-gauge norm")
     return math.sqrt(s) * _trapezoid_2d(field.grid, dens)
-
-
-def inner_ht(field_a: PlaneField, field_b: PlaneField) -> complex:
-    """Range inner product of two weighted-gauge fields on the same grid."""
-    if field_a.gauge is not Gauge.WEIGHTED or field_b.gauge is not Gauge.WEIGHTED:
-        raise ValueError("inner_ht expects weighted-gauge fields")
-    if field_a.grid is not field_b.grid and (
-            field_a.grid.shape != field_b.grid.shape
-            or not np.array_equal(field_a.grid.xs, field_b.grid.xs)
-            or not np.array_equal(field_a.grid.ps, field_b.grid.ps)):
-        raise ValueError("fields must share a grid")
-    prod = np.conj(field_a.values) * field_b.values
-    wx = QuadratureRule.trapezoid(field_a.grid.xs).absorbed
-    wp = QuadratureRule.trapezoid(field_a.grid.ps).absorbed
-    return measure_density(field_a.param.t) * complex((wx @ prod) @ wp)
 
 
 def suggest_grid(param: TransformParameter, signal,
@@ -686,13 +627,14 @@ def basis_image_audit(s: float = 0.7, z_probe: complex = 0.6 + 0.45j,
     """
     zs = np.array([z_probe, -z_probe, 1j * z_probe,
                    0.5 * z_probe, 0.0], dtype=complex)
-    cache = build_basis_images(s, 2, zs, order=order)
+    table = basis_image_table(s, 2, zs, order)
+    quadrature, claimed = table["quadrature"], table["claimed-closed-form"]
     # the table's kernel constant is pi^{-1/4} of the unitary normalization
     printed_scale = math.pi ** -0.25
     out: dict = {"s": s, "z_probe": [z_probe.real, z_probe.imag]}
     for n in (0, 1):
         with np.errstate(invalid="ignore", divide="ignore"):
-            ratios = cache.kernel_images[n] / cache.claimed_images[n]
+            ratios = quadrature[n] / claimed[n]
         finite = ratios[np.isfinite(ratios)]  # z=0 gives 0/0 for n=1
         mean = complex(finite.mean())
         out[f"n{n}_ratio"] = [mean.real, mean.imag]
@@ -700,9 +642,9 @@ def basis_image_audit(s: float = 0.7, z_probe: complex = 0.6 + 0.45j,
             (printed_scale * mean).real, (printed_scale * mean).imag]
         out[f"n{n}_ratio_spread"] = float(np.max(np.abs(finite - mean)))
     # z = 0 isolates the z^0 component of the n = 2 image
-    img0 = complex(cache.kernel_images[2, -1])
+    img0 = complex(quadrature[2, -1])
     # remove the shared Gaussian, then c2 from a second probe point
-    bare = cache.kernel_images[2] * np.exp(zs * zs / (6 * s))
+    bare = quadrature[2] * np.exp(zs * zs / (6 * s))
     c0 = complex(bare[-1])
     c2 = complex((bare[0] - c0) / (z_probe ** 2))
     out["n2_image_at_zero"] = [img0.real, img0.imag]

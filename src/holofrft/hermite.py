@@ -19,6 +19,9 @@ the correct limit).
 build the same polynomials by three independent algorithms (backward heat flow
 of a monomial, repeated differentiation of the Gaussian, and the raising
 operator x - s d/dx); they exist as cross-checking oracles.
+
+``evaluate_signal`` and ``signal_envelope`` are the one signal-evaluation and
+Gaussian-envelope model shared by the analysis here and the engine's rules.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ import math
 
 import numpy as np
 
-from .closedform import coherent_state
+from . import closedform
 from .core import CoherentSum, HermiteRep, Samples
 from .errors import SupportError
 from .quadrature import QuadratureRule, required_order, tail_fraction
@@ -53,11 +56,6 @@ def hermite_poly(n: int, s: float, x) -> np.ndarray:
     for k in range(1, n):
         prev, cur = cur, (x * cur - k * prev) / s
     return cur
-
-
-def hermite_function(n: int, s: float, x) -> np.ndarray:
-    """Values of the orthonormal basis function h_n^s at x."""
-    return hermite_basis(n, s, x)[n]
 
 
 def hermite_basis(n_max: int, s: float, x) -> np.ndarray:
@@ -127,21 +125,51 @@ def poly_coeffs_ladder(n: int, s: float) -> np.ndarray:
     return c * s ** -float(n)
 
 
-def _coherent_sum_envelope(signal: CoherentSum) -> tuple[float, float, float]:
-    """(precision, center, oscillation) of the Gaussian envelope of the sum."""
-    qs = [lab.Q for lab in signal.labels]
-    ps = [abs(lab.P) for lab in signal.labels]
-    return 0.5, (min(qs) + max(qs)) / 2, max(ps)
+def evaluate_signal(signal, x) -> np.ndarray:
+    """Pointwise complex values of any supported signal representation."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(signal, CoherentSum):
+        return closedform.coherent_sum_values(signal.weights, signal.labels, x)
+    if isinstance(signal, HermiteRep):
+        return hermite_synthesize(signal.coeffs, signal.s, x)
+    if isinstance(signal, Samples):
+        re = np.interp(x, signal.xs, signal.values.real, left=0.0, right=0.0)
+        im = np.interp(x, signal.xs, signal.values.imag, left=0.0, right=0.0)
+        return re + 1j * im
+    if callable(signal):
+        values = np.asarray(signal(x), dtype=complex)
+        if values.shape != x.shape:
+            raise ValueError(f"signal values must have the shape of x, "
+                             f"{x.shape}; got {values.shape}")
+        return values
+    raise TypeError(f"unsupported signal type {type(signal).__name__}")
+
+
+def signal_envelope(signal) -> tuple[float, float, float]:
+    """Gaussian envelope model (precision, center, oscillation) of a signal.
+
+    precision lam means |f(x)| <~ e^{-lam (x - center)^2}; oscillation is the
+    largest phase frequency the signal carries. Unknown structure maps to
+    (0, 0, 0) and is then covered by the rule envelope and tail checks.
+    """
+    if isinstance(signal, CoherentSum):
+        qs = [lab.Q for lab in signal.labels]
+        return 0.5, (min(qs) + max(qs)) / 2, max(abs(lab.P) for lab in signal.labels)
+    if isinstance(signal, HermiteRep):
+        return 1 / (4 * signal.s), 0.0, 0.0
+    if isinstance(signal, Samples):
+        return 0.0, float(0.5 * (signal.xs[0] + signal.xs[-1])), 0.0
+    return 0.0, 0.0, 0.0
 
 
 def hermite_analyze(signal, s: float, n_max: int,
                     order: int | None = None) -> np.ndarray:
     """Coefficients <h_n^s, f> for n <= n_max under the weighted inner product.
 
-    CoherentSum and HermiteRep signals are integrated with an
-    envelope-matched Gauss-Hermite rule; Samples are integrated on their own
-    grid with a trapezoid rule after a sampling-density check (at least 4
-    samples per oscillation of h_{n_max}^s).
+    Samples are integrated on their own grid with a trapezoid rule after a
+    sampling-density check (at least 4 samples per oscillation of
+    h_{n_max}^s); other signals with a Gauss-Hermite rule of the given order
+    (auto-sized when None) matched to the basis-times-envelope Gaussian.
     """
     n_max = _check_degree(n_max)
     if not s > 0:
@@ -172,21 +200,7 @@ def hermite_analyze(signal, s: float, n_max: int,
                 "mass; extend the sample range")
         return math.pi ** 0.5 * prod @ rule.absorbed
 
-    if isinstance(signal, CoherentSum):
-        lam_f, center_f, osc = _coherent_sum_envelope(signal)
-        def evaluate(x):
-            return sum(w * coherent_state(x, lab)
-                       for w, lab in zip(signal.weights, signal.labels))
-    elif isinstance(signal, HermiteRep):
-        lam_f, center_f, osc = 1 / (4 * signal.s), 0.0, 0.0
-        def evaluate(x):
-            return hermite_synthesize(signal.coeffs, signal.s, x)
-    elif callable(signal):
-        lam_f, center_f, osc = 0.0, 0.0, 0.0
-        evaluate = signal
-    else:
-        raise TypeError(f"cannot analyze signal of type {type(signal).__name__}")
-
+    lam_f, center_f, osc = signal_envelope(signal)
     a = 1 / (4 * s) + lam_f
     scale = 1 / math.sqrt(a)
     center = lam_f * center_f / a
@@ -195,8 +209,7 @@ def hermite_analyze(signal, s: float, n_max: int,
     rule = QuadratureRule.gauss_hermite(order, center=center, scale=scale)
     rule.check_oscillation(osc)
     basis = hermite_basis(n_max, s, rule.nodes)
-    f_vals = np.asarray(evaluate(rule.nodes), dtype=complex)
-    prod = basis * f_vals[None, :]
+    prod = basis * evaluate_signal(signal, rule.nodes)[None, :]
     if tail_fraction(prod[n_max] if n_max else prod[0]) > 1e-10:
         raise SupportError(
             "projection integrand has edge mass at the rule boundary; "

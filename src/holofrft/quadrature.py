@@ -1,12 +1,11 @@
 """Gauss-Hermite and trapezoid rules with envelope-absorbed weights.
 
-The Gauss-Hermite rule is stored in two weight forms:
-
-* ``weights``  -- raw weights for integrands written as e^{-v^2} g(v),
-* ``absorbed`` -- weights for the full integrand h(x) = e^{-v^2} g(v) sampled
-  as-is; absorbed[i] = weights[i] * e^{+v_i^2}, built from the Christoffel
-  identity 1 / sum_k psi_k(v_i)^2 (orthonormal Hermite functions), which stays
-  finite at orders where the raw weights underflow.
+A Gauss-Hermite rule stores ``absorbed`` weights for the full integrand
+h(x) = e^{-v^2} g(v) sampled as-is: absorbed[i] is the raw Gauss weight times
+e^{+v_i^2}, built from the Christoffel identity 1 / sum_k psi_k(v_i)^2
+(orthonormal Hermite functions), which stays finite at orders where the raw
+weights underflow. A trapezoid rule's absorbed weights are its plain
+weights. Integrals are plain sums ``values @ rule.absorbed``.
 
 Rules can be recentered and rescaled; a rule with ``center`` m and ``scale``
 sigma targets integrands whose Gaussian part is exp(-((x - m)/sigma)^2).
@@ -20,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import IntegrationDomainError, SupportError
+from .errors import SupportError
 
 # Supported rule sizes.  Above ~705 the outermost node has e^{-v^2/2}
 # subnormal and node generation itself degrades; 512 keeps a wide margin and
@@ -59,10 +58,9 @@ def _standard_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class QuadratureRule:
-    """Nodes plus raw and absorbed weights; see module docstring."""
+    """Nodes plus absorbed weights; see module docstring."""
 
     nodes: np.ndarray
-    weights: np.ndarray
     absorbed: np.ndarray
     center: float
     scale: float
@@ -70,17 +68,13 @@ class QuadratureRule:
     @classmethod
     def gauss_hermite(cls, order: int, center: float = 0.0,
                       scale: float = 1.0) -> "QuadratureRule":
-        """Scaled Gauss-Hermite rule; raw weights sum to scale * sqrt(pi)."""
+        """Scaled Gauss-Hermite rule; it integrates e^{-v^2} to scale * sqrt(pi)."""
         if not 1 <= order <= MAX_ORDER:
             raise ValueError(f"order must lie in [1, {MAX_ORDER}], got {order!r}")
         if not scale > 0:
             raise ValueError("scale must be positive")
         v, absorbed_std = _standard_rule(int(order))
-        nodes = center + scale * v
-        absorbed = scale * absorbed_std
-        with np.errstate(under="ignore"):
-            weights = absorbed * np.exp(-v * v)  # graceful underflow far out
-        return cls(nodes=nodes, weights=weights, absorbed=absorbed,
+        return cls(nodes=center + scale * v, absorbed=scale * absorbed_std,
                    center=float(center), scale=float(scale))
 
     @classmethod
@@ -93,7 +87,7 @@ class QuadratureRule:
         w[1:-1] = (xs[2:] - xs[:-2]) / 2
         w[0] = (xs[1] - xs[0]) / 2
         w[-1] = (xs[-1] - xs[-2]) / 2
-        return cls(nodes=xs, weights=w, absorbed=w,
+        return cls(nodes=xs, absorbed=w,
                    center=float(0.5 * (xs[0] + xs[-1])),
                    scale=float(xs[1] - xs[0]))
 
@@ -124,71 +118,6 @@ def required_order(freq: float, scale: float, minimum: int = 1) -> int:
             f"oscillation frequency {abs(freq):.3g} needs order {order} "
             f"> {MAX_ORDER}", suggestion=order)
     return order
-
-
-@dataclass(frozen=True, eq=False)
-class QuadratureRule2D:
-    """Product rule over a rectangle; node (i, j) has weight w_x[i] * w_p[j]."""
-
-    rule_x: QuadratureRule
-    rule_p: QuadratureRule
-
-
-def _sampled(f, rule: QuadratureRule, label: str) -> np.ndarray:
-    """Evaluate (or accept) integrand samples at the rule nodes, checked finite."""
-    values = np.asarray(f(rule.nodes) if callable(f) else f)
-    if values.shape != rule.nodes.shape:
-        raise ValueError(
-            f"sampled values must have one entry per {label} node "
-            f"({rule.order}), got shape {values.shape}")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise IntegrationDomainError(
-            f"integrand is non-finite at {label} node {i} "
-            f"(x = {rule.nodes[i]:.17g}): {values[i]!r}")
-    return values
-
-
-def integrate_1d(rule: QuadratureRule, f) -> complex:
-    """Sum w_i f(x_i): the integral of f against the rule's weight.
-
-    For a Gauss-Hermite rule the Gaussian weight e^{-((x-m)/sigma)^2} lives in
-    ``weights``, so ``f`` is only the smooth factor; for a trapezoid rule
-    ``f`` is the full integrand.  ``f`` may be a callable (evaluated at
-    ``rule.nodes``) or an array already sampled there.  Summation is numpy's
-    pairwise reduction over the fixed node order, so repeated evaluation is
-    bit-identical.
-    """
-    values = _sampled(f, rule, "quadrature")
-    return complex(np.sum(rule.weights * values))
-
-
-def integrate_2d(rule: QuadratureRule2D, f) -> complex:
-    """Product-rule integral of f(x, p); x-major deterministic summation.
-
-    ``f`` may be a callable of broadcastable (x, p) arrays or a value array of
-    shape (len(rule_x), len(rule_p)).  Each row is reduced over p first, then
-    the row integrals over x, both with numpy's pairwise summation.
-    """
-    rx, rp = rule.rule_x, rule.rule_p
-    if callable(f):
-        values = np.asarray(f(rx.nodes[:, None], rp.nodes[None, :]))
-    else:
-        values = np.asarray(f)
-    if values.shape != (rx.order, rp.order):
-        raise ValueError(
-            f"sampled values must have shape {(rx.order, rp.order)}, "
-            f"got {values.shape}")
-    bad = ~np.isfinite(values)
-    if bad.any():
-        i, j = np.unravel_index(int(np.argmax(bad)), values.shape)
-        raise IntegrationDomainError(
-            f"integrand is non-finite at node ({i}, {j}) "
-            f"(x = {rx.nodes[i]:.17g}, p = {rp.nodes[j]:.17g}): "
-            f"{values[i, j]!r}")
-    rows = np.sum(values * rp.weights[None, :], axis=1)
-    return complex(np.sum(rows * rx.weights))
 
 
 def tail_fraction(values: np.ndarray, weights: np.ndarray | None = None) -> float:

@@ -20,6 +20,7 @@ from .core import (
     CoherentLabel,
     CoherentSum,
     Gauge,
+    HermiteRep,
     KAPPA_SQUARED,
     PlaneField,
     PlaneGrid,
@@ -211,7 +212,7 @@ def c05_monomial_image(context: dict) -> CriterionResult:
 
 
 def c06_spectral_vs_kernel(context: dict) -> CriterionResult:
-    """Spectral route through cached basis images agrees with direct kernel."""
+    """Spectral route through closed-form basis images agrees with kernel quadrature."""
     s = 1.0
     rng = np.random.default_rng(6)
     xs = np.linspace(-4, 4, 9)
@@ -219,7 +220,6 @@ def c06_spectral_vs_kernel(context: dict) -> CriterionResult:
     z = (xs[:, None] + 1j * s * ps[None, :]).ravel()
     cache = engine.build_basis_images(s, 40, z)
     worst = 0.0
-    from .core import HermiteRep
     for _ in range(5):
         coeffs = rng.normal(size=20) + 1j * rng.normal(size=20)
         coeffs /= np.linalg.norm(coeffs)

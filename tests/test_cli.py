@@ -219,6 +219,17 @@ class TestTransformCommands:
         spectral = read_field(s_out)
         assert float(np.max(np.abs(kernel.values - spectral.values))) < 2e-8
 
+    def test_order_sets_the_spectral_projection_rule(self, tmp_path,
+                                                     pair_file, capsys):
+        # a 24-node projection rule cannot hold degree 40
+        args = ["transform", "--kind", "sb", "--s", "1", "--signal",
+                pair_file, "--xmax", "3", "--pmax", "3", "--nx", "17",
+                "--np", "17", "--method", "spectral", "--out",
+                str(tmp_path / "o.csv")]
+        assert main(args + ["--order", "24"]) == 3
+        assert "projection integrand" in capsys.readouterr().err
+        assert main(args + ["--order", "64"]) == 0
+
     def test_inverse_round_trips_the_signal(self, tmp_path, packet_file):
         field_path = str(tmp_path / "f.csv")
         sig_path = str(tmp_path / "back.csv")

@@ -137,11 +137,11 @@ class TestCorruptionIsAParseError:
         lines = valid.split(b"\n")[:-1]
         corruptions = LINE_LOCAL + ("shuffled row",)
         if kind == "field":
-            corruptions += ("gauge/param",)
+            corruptions += ("gauge/param", "param prefixes")
         corruption = data.draw(st.sampled_from(corruptions))
         # Value corruptions go to data rows; the header has no values.
         first = 1 if corruption in ("non-numeric", "non-finite",
-                                    "gauge/param") else 0
+                                    "gauge/param", "param prefixes") else 0
         row = data.draw(st.integers(first, len(lines) - 1))
         parts = lines[row].split(b",")
         if corruption == "drop column":
@@ -163,6 +163,11 @@ class TestCorruptionIsAParseError:
                     else b"holomorphic"
             else:
                 parts[5] += b"0"
+        elif corruption == "param prefixes":
+            # every row alike, so only the param parser can reject it
+            for k in range(1, len(lines)):
+                lines[k] = lines[k].replace(b"t=", b"").replace(b";s=", b";")
+            parts = lines[row].split(b",")
         else:
             other = data.draw(st.integers(0, len(lines) - 1)
                               .filter(lambda j: j != row))

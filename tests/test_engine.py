@@ -19,7 +19,7 @@ from holofrft.core import (
     TransformParameter,
 )
 from holofrft.errors import SupportError
-from holofrft.hermite import hermite_analyze, hermite_function, hermite_poly
+from holofrft.hermite import hermite_analyze, hermite_basis, hermite_poly
 from holofrft.quadrature import QuadratureRule
 
 PACKET00 = CoherentSum((1.0,), (CoherentLabel(0.0, 0.0),))
@@ -69,7 +69,7 @@ class TestKernelApply:
         z = np.array([0.0, 0.9 + 0.4j], dtype=complex)
 
         def h2(x):
-            return hermite_function(2, s, x).astype(complex)
+            return hermite_basis(2, s, x)[2].astype(complex)
 
         img = engine.sb_kernel_apply(s, h2, z)
         assert abs(img[0]) > 1e-3  # nonzero constant component
@@ -87,13 +87,40 @@ class TestKernelApply:
         with pytest.raises(ValueError, match="positive"):
             engine.sb_kernel_apply(0.0, PACKET00, np.array([0.0j]))
 
+    @pytest.mark.parametrize("signal", [sample_packet(), TWO_PACKETS],
+                             ids=["samples", "packet sum"])
+    def test_scattered_points_match_the_grid_build(self, rng, signal):
+        # points drawn from a grid repeat its real parts, in any order
+        s = 0.8
+        grid = PlaneGrid.regular(3.0, 3.0, 13, 11)
+        pick = rng.choice(grid.xs.size * grid.ps.size, size=60)
+        pick[:5] = pick[5]  # the same point more than once
+        points = grid.z_values(s).ravel()[pick]
+        got = engine.sb_kernel_apply(s, signal, points)
+        expected = engine.sb_field(s, signal, grid).values.ravel()[pick]
+        assert float(np.max(np.abs(got - expected))) \
+            < 1e-13 * float(np.max(np.abs(expected)))
+        assert engine.sb_kernel_apply(s, signal, points[:0]).shape == (0,)
+
 
 class TestBasisImageCache:
+    @pytest.mark.parametrize("s", [math.tan(0.3), 0.7, 1.0, 2.0])
+    def test_closed_form_images_match_kernel_quadrature(self, s):
+        # the kernel quadrature of each unit basis signal is the oracle
+        grid = PlaneGrid.regular(4.0, 4.0, 11, 11)
+        z = grid.z_values(s).ravel()
+        cache = engine.build_basis_images(s, 40, z)
+        assert cache.images.shape == (41, z.size)
+        for n in range(41):
+            oracle = engine.sb_kernel_apply(s, HermiteRep(s, np.eye(n + 1)[n]), z)
+            err = np.abs(cache.images[n] - oracle) / np.maximum(1.0, np.abs(oracle))
+            assert float(err.max()) <= 1e-10, n
+
     def test_lowest_image_ratio_is_twice_the_printed_convention(self):
         s = 0.7
         z = np.array([0.6 + 0.45j, -0.6 - 0.45j, 0.3j], dtype=complex)
         cache = engine.build_basis_images(s, 2, z)
-        ratios = cache.kernel_images[0] / cache.claimed_images[0]
+        ratios = cache.images[0] / engine.claimed_basis_image(s, 0, z)
         # constant over the plane; the claimed table's kernel constant is
         # pi^{-1/4} times the unitary one, so the unitary ratio is 2 pi^{1/4}
         assert float(np.max(np.abs(ratios - ratios[0]))) < 1e-9
@@ -104,7 +131,7 @@ class TestBasisImageCache:
         s = 0.7
         z = np.array([0.5 + 0.2j, -1.1 + 0.4j, 0.9 - 0.6j], dtype=complex)
         cache = engine.build_basis_images(s, 1, z)
-        ratios = cache.kernel_images[1] / cache.claimed_images[1]
+        ratios = cache.images[1] / engine.claimed_basis_image(s, 1, z)
         assert float(np.max(np.abs(ratios - ratios[0]))) < 1e-8 * abs(
             ratios[0])
 
@@ -112,8 +139,10 @@ class TestBasisImageCache:
         z = np.array([0.4 + 0.1j])
         cache = engine.build_basis_images(1.0, 20, z)
         assert cache.n_max == 20
-        assert cache.kernel_images.shape == (21, 1)
-        assert cache.claimed_images.shape == (13, 1)
+        assert cache.images.shape == (21, 1)
+        table = engine.basis_image_table(1.0, 20, z)
+        assert table["quadrature"].shape == (21, 1)
+        assert table["claimed-closed-form"].shape == (13, 1)
 
     def test_degree_beyond_limit_rejected(self):
         with pytest.raises(ValueError, match="degree"):
@@ -123,7 +152,7 @@ class TestBasisImageCache:
         z = np.linspace(-2, 2, 9).astype(complex)
         cache = engine.build_basis_images(1.0, 6, z)
         e0 = engine.sb_spectral_apply(1.0, np.array([1.0 + 0j]), cache)
-        np.testing.assert_array_equal(e0, cache.kernel_images[0])
+        np.testing.assert_array_equal(e0, cache.images[0])
         zero = engine.sb_spectral_apply(1.0, np.zeros(5, dtype=complex),
                                         cache)
         np.testing.assert_array_equal(zero, 0.0)
@@ -438,14 +467,18 @@ class TestNorms:
 
 class TestIsometry:
     def test_weighted_inner_product_polarization(self):
+        # <A f, A g> = kappa^2 <f, g>, with the range inner product recovered
+        # from range norms: sum_k (-i)^k |A f + i^k A g|^2 / 4
         a = CoherentLabel(0.4, 0.9)
         b = CoherentLabel(-0.3, -0.7)
         param = TransformParameter.from_t(0.9)
         combined = CoherentSum((1.0, 1.0), (a, b))
         grid = engine.suggest_grid(param, combined)
-        fa = engine.hfrft_apply(param, CoherentSum((1.0,), (a,)), grid)
-        fb = engine.hfrft_apply(param, CoherentSum((1.0,), (b,)), grid)
-        got = engine.inner_ht(fa, fb) / KAPPA_SQUARED
+        fa = engine.hfrft_apply(param, CoherentSum((1.0,), (a,)), grid).values
+        fb = engine.hfrft_apply(param, CoherentSum((1.0,), (b,)), grid).values
+        got = sum((-1j) ** k * engine.norm_ht(PlaneField(
+            grid, fa + 1j ** k * fb, Gauge.WEIGHTED, param)) for k in range(4))
+        got /= 4 * KAPPA_SQUARED
         expected = closedform.coherent_overlap(a, b)
         assert abs(got - expected) < 1e-5
 
@@ -465,16 +498,6 @@ class TestIsometry:
             (wx @ (np.conj(Fa) * Fb * weight)) @ wp)
         expected = closedform.coherent_overlap(a, b)
         assert abs(got - expected) < 1e-5
-
-    def test_inner_product_requires_matching_grids(self):
-        grid_a = PlaneGrid.regular(2.0, 2.0, 9, 9)
-        grid_b = PlaneGrid.regular(2.0, 2.0, 9, 11)
-        fa = PlaneField(grid_a, np.ones(grid_a.shape), Gauge.WEIGHTED,
-                        TransformParameter.from_s(1.0))
-        fb = PlaneField(grid_b, np.ones(grid_b.shape), Gauge.WEIGHTED,
-                        TransformParameter.from_s(1.0))
-        with pytest.raises(ValueError, match="grid"):
-            engine.inner_ht(fa, fb)
 
 
 class TestReports:

@@ -16,7 +16,6 @@ from holofrft.hermite import (
     gram_matrix,
     hermite_analyze,
     hermite_basis,
-    hermite_function,
     hermite_poly,
     hermite_synthesize,
     poly_coeffs_heat,
@@ -111,7 +110,7 @@ class TestCoefficientRoutes:
 class TestBasisFunctions:
     @pytest.mark.parametrize("s", [0.5, 1.0, 2.0])
     def test_ground_state_peak_value(self, s):
-        got = float(hermite_function(0, s, np.array(0.0)))
+        got = float(hermite_basis(0, s, np.array(0.0))[0])
         assert got == pytest.approx((2 * s) ** -0.25 * math.pi ** -0.5,
                                     rel=1e-15)
 
@@ -143,7 +142,7 @@ class TestBasisFunctions:
         # plain Lebesgue squared norm of the ground state is pi^{-1/2}
         s = 1.0
         rule = QuadratureRule.gauss_hermite(64, scale=math.sqrt(2 * s))
-        h0 = hermite_function(0, s, rule.nodes)
+        h0 = hermite_basis(0, s, rule.nodes)[0]
         plain = float(h0 * h0 @ rule.absorbed)
         assert plain == pytest.approx(math.pi ** -0.5, rel=1e-12)
         assert math.pi ** 0.5 * plain == pytest.approx(1.0, rel=1e-12)
@@ -152,7 +151,7 @@ class TestBasisFunctions:
 class TestAnalyzeSynthesize:
     def test_single_basis_function_projects_to_unit_vector(self):
         s = 0.9
-        coeffs = hermite_analyze(lambda x: hermite_function(3, s, x)
+        coeffs = hermite_analyze(lambda x: hermite_basis(3, s, x)[3]
                                  .astype(complex), s, 8)
         expected = np.zeros(9)
         expected[3] = 1.0
@@ -161,7 +160,7 @@ class TestAnalyzeSynthesize:
     def test_sampled_basis_function_projects_to_unit_vector(self):
         s = 0.9
         xs = np.linspace(-12, 12, 1201)
-        sig = Samples(xs, hermite_function(3, s, xs).astype(complex))
+        sig = Samples(xs, hermite_basis(3, s, xs)[3].astype(complex))
         coeffs = hermite_analyze(sig, s, 8)
         expected = np.zeros(9)
         expected[3] = 1.0

@@ -1,4 +1,8 @@
-"""Gauss-Hermite and trapezoid rules: exactness, oscillation budget, errors."""
+"""Gauss-Hermite and trapezoid rules: exactness, oscillation budget, errors.
+
+Integrals are absorbed-weight sums of the full integrand, as the engine forms
+them; non-finite integrands are checked where the engine builds its rows.
+"""
 
 import math
 
@@ -7,19 +11,35 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from holofrft import engine, quadrature
+from holofrft.core import PlaneGrid, TransformParameter
 from holofrft.errors import IntegrationDomainError, SupportError
 from holofrft.quadrature import (
     MAX_ORDER,
     OSCILLATION_COEFF,
     QuadratureRule,
-    QuadratureRule2D,
-    integrate_1d,
-    integrate_2d,
     required_order,
     tail_fraction,
 )
 
 SQRT_PI = math.sqrt(math.pi)
+
+
+def gaussian(rule: QuadratureRule, x=None) -> np.ndarray:
+    """The rule's Gaussian part e^{-((x - center)/scale)^2}, at its nodes by default."""
+    v = ((rule.nodes if x is None else x) - rule.center) / rule.scale
+    with np.errstate(under="ignore"):
+        return np.exp(-v * v)
+
+
+def raw_weights(rule: QuadratureRule) -> np.ndarray:
+    """Gauss weights for integrands written as e^{-v^2} g(v)."""
+    return rule.absorbed * gaussian(rule)
+
+
+def integral(rule: QuadratureRule, g) -> complex:
+    """Integral of e^{-v^2} g as the absorbed-weight sum of the full integrand."""
+    return complex((gaussian(rule) * g(rule.nodes)) @ rule.absorbed)
 
 
 def gaussian_moment(k: int) -> float:
@@ -37,18 +57,18 @@ class TestGaussHermiteRule:
     def test_single_node_rule_is_center_with_sqrt_pi_weight(self):
         rule = QuadratureRule.gauss_hermite(1)
         assert rule.nodes.tolist() == [0.0]
-        assert rule.weights[0] == pytest.approx(SQRT_PI, rel=1e-15)
+        assert rule.absorbed[0] == pytest.approx(SQRT_PI, rel=1e-15)
 
     def test_two_node_rule_has_symmetric_nodes_at_inverse_sqrt_two(self):
         rule = QuadratureRule.gauss_hermite(2)
         np.testing.assert_allclose(
             np.sort(rule.nodes), [-2.0 ** -0.5, 2.0 ** -0.5], rtol=1e-15)
-        np.testing.assert_allclose(rule.weights, SQRT_PI / 2, rtol=1e-14)
+        np.testing.assert_allclose(raw_weights(rule), SQRT_PI / 2, rtol=1e-14)
 
     def test_sixth_moment_matches_moment_recursion(self):
         # I_3 = (1/2)(3/2)(5/2) sqrt(pi) = 15 sqrt(pi) / 8 = 3.3234...
         rule = QuadratureRule.gauss_hermite(8)
-        got = integrate_1d(rule, lambda x: x ** 6)
+        got = integral(rule, lambda x: x ** 6)
         assert got.imag == 0.0
         assert got.real == pytest.approx(15 * SQRT_PI / 8, rel=1e-14)
         assert got.real == pytest.approx(gaussian_moment(6), rel=1e-14)
@@ -57,7 +77,7 @@ class TestGaussHermiteRule:
     @pytest.mark.parametrize("scale", [1.0, 0.37, 2.5])
     def test_raw_weights_sum_to_scale_sqrt_pi(self, order, scale):
         rule = QuadratureRule.gauss_hermite(order, center=0.3, scale=scale)
-        assert float(rule.weights.sum()) == pytest.approx(
+        assert float(raw_weights(rule).sum()) == pytest.approx(
             scale * SQRT_PI, rel=1e-12)
 
     @pytest.mark.parametrize("order", [2, 7, 32, 511])
@@ -72,7 +92,7 @@ class TestGaussHermiteRule:
         # reference: numpy's own Golub-Welsch weights, stable at these orders
         rule = QuadratureRule.gauss_hermite(order)
         _, ref = np.polynomial.hermite.hermgauss(order)
-        got = rule.weights
+        got = raw_weights(rule)
         assert float(np.max(np.abs(got - ref))) <= 1e-13 * float(ref.max())
 
     @pytest.mark.parametrize("order", [0, -3, MAX_ORDER + 1])
@@ -88,7 +108,6 @@ class TestGaussHermiteRule:
         a = QuadratureRule.gauss_hermite(96, center=0.5, scale=1.7)
         b = QuadratureRule.gauss_hermite(96, center=0.5, scale=1.7)
         assert np.array_equal(a.nodes, b.nodes)
-        assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.absorbed, b.absorbed)
 
 
@@ -105,7 +124,7 @@ class TestPolynomialExactness:
     def test_rule_of_order_n_integrates_degree_up_to_2n_minus_1(self, case):
         order, degree, scale = case
         rule = QuadratureRule.gauss_hermite(order, scale=scale)
-        got = integrate_1d(rule, lambda x: x ** degree).real
+        got = integral(rule, lambda x: x ** degree).real
         exact = scale ** (degree + 1) * gaussian_moment(degree)
         if exact == 0.0:
             # odd moments vanish; compare against the even neighbor's size
@@ -118,7 +137,7 @@ class TestPolynomialExactness:
         order = 24
         rule = QuadratureRule.gauss_hermite(order, scale=0.9)
         coeffs = rng.normal(size=2 * order)  # degree 2*order - 1
-        got = integrate_1d(rule, lambda x: np.polynomial.polynomial.polyval(
+        got = integral(rule, lambda x: np.polynomial.polynomial.polyval(
             x, coeffs)).real
         exact = sum(c * 0.9 ** (k + 1) * gaussian_moment(k)
                     for k, c in enumerate(coeffs))
@@ -128,98 +147,108 @@ class TestPolynomialExactness:
 class TestIntegrate1D:
     def test_unit_integrand_gives_sqrt_pi(self):
         rule = QuadratureRule.gauss_hermite(16)
-        assert integrate_1d(rule, lambda x: np.ones_like(x)).real == \
+        assert integral(rule, np.ones_like).real == \
             pytest.approx(SQRT_PI, rel=1e-12)
 
     def test_odd_integrand_vanishes(self):
         rule = QuadratureRule.gauss_hermite(16)
-        assert abs(integrate_1d(rule, lambda x: x)) <= 1e-14
+        assert abs(integral(rule, lambda x: x)) <= 1e-14
 
     def test_unit_frequency_oscillation(self):
         # exact: integral e^{ix} e^{-x^2} dx = sqrt(pi) e^{-1/4}
         rule = QuadratureRule.gauss_hermite(24)
-        got = integrate_1d(rule, lambda x: np.exp(1j * x))
+        got = integral(rule, lambda x: np.exp(1j * x))
         exact = SQRT_PI * math.exp(-0.25)
         assert abs(got - exact) <= 1e-10
 
-    def test_callable_and_array_inputs_agree_exactly(self):
-        rule = QuadratureRule.gauss_hermite(32, center=0.2, scale=1.3)
-        f = lambda x: np.cos(x) + 1j * x ** 3  # noqa: E731
-        assert integrate_1d(rule, f) == integrate_1d(rule, f(rule.nodes))
-
     def test_integration_is_deterministic(self):
-        rule = QuadratureRule.gauss_hermite(64)
         f = lambda x: np.exp(1j * 0.7 * x) * (1 + x * x)  # noqa: E731
-        assert integrate_1d(rule, f) == integrate_1d(rule, f)
+        first = integral(QuadratureRule.gauss_hermite(64), f)
+        quadrature._standard_rule.cache_clear()  # rebuild the unit rule
+        assert integral(QuadratureRule.gauss_hermite(64), f) == first
 
     def test_non_finite_value_names_offending_node(self):
-        rule = QuadratureRule.gauss_hermite(8)
-        values = np.ones(8, dtype=complex)
-        values[3] = np.inf
+        seen = []
+
+        def signal(x):
+            seen.append(x)
+            values = np.exp(-x * x / 2).astype(complex)
+            values[..., 3] = np.inf
+            return values
+
         with pytest.raises(IntegrationDomainError) as exc:
-            integrate_1d(rule, values)
-        msg = str(exc.value)
-        assert "node 3" in msg
-        assert f"{rule.nodes[3]:.17g}" in msg
+            engine.sb_kernel_apply(1.0, signal, np.array([0.4 + 0.3j]))
+        assert f"x' = {seen[0][0, 3]:.17g}" in str(exc.value)
 
     def test_non_finite_callable_result_rejected(self):
-        rule = QuadratureRule.gauss_hermite(8)
-
         def overflowing(x):
-            out = np.ones_like(x)
-            out[-1] = np.inf
+            out = np.ones_like(x, dtype=complex)
+            out[..., -1] = np.inf
             return out
 
+        grid = PlaneGrid.regular(2.0, 2.0, 5, 5)
         with pytest.raises(IntegrationDomainError):
-            integrate_1d(rule, overflowing)
+            engine.hfrft_apply(TransformParameter.from_t(0.6), overflowing,
+                               grid)
 
     def test_wrong_shape_rejected(self):
-        rule = QuadratureRule.gauss_hermite(8)
+        # one value per node: a broadcastable constant is not accepted
         with pytest.raises(ValueError, match="shape"):
-            integrate_1d(rule, np.ones(7))
+            engine.sb_kernel_apply(1.0, lambda x: np.ones(7),
+                                   np.array([0.5j]))
 
 
 class TestIntegrate2D:
     def make_rule(self, nx=24, np_=20):
-        return QuadratureRule2D(QuadratureRule.gauss_hermite(nx),
-                                QuadratureRule.gauss_hermite(np_))
+        return (QuadratureRule.gauss_hermite(nx),
+                QuadratureRule.gauss_hermite(np_))
+
+    def integral_2d(self, rules, f) -> complex:
+        """Product-rule sum: rows over p first, then over x."""
+        rx, rp = rules
+        x, p = rx.nodes[:, None], rp.nodes[None, :]
+        full = gaussian(rx, x) * gaussian(rp, p) * f(x, p)
+        return complex(rx.absorbed @ (full @ rp.absorbed))
 
     def test_unit_integrand_gives_pi(self):
-        got = integrate_2d(self.make_rule(), lambda x, p: np.ones(
+        got = self.integral_2d(self.make_rule(), lambda x, p: np.ones(
             np.broadcast_shapes(x.shape, p.shape)))
         assert got.real == pytest.approx(math.pi, rel=1e-12)
 
     def test_odd_product_integrand_vanishes(self):
-        assert abs(integrate_2d(self.make_rule(), lambda x, p: x * p)) <= 1e-14
+        assert abs(self.integral_2d(self.make_rule(),
+                                    lambda x, p: x * p)) <= 1e-14
 
     def test_separable_integrand_factorizes(self):
-        rule = self.make_rule()
+        rules = self.make_rule()
         g = lambda x: x * x + 0.5  # noqa: E731
         h = lambda p: np.exp(1j * p)  # noqa: E731
-        got = integrate_2d(rule, lambda x, p: g(x) * h(p))
-        expected = integrate_1d(rule.rule_x, g) * integrate_1d(rule.rule_p, h)
+        got = self.integral_2d(rules, lambda x, p: g(x) * h(p))
+        expected = integral(rules[0], g) * integral(rules[1], h)
         assert got == pytest.approx(expected, rel=1e-13)
 
-    def test_array_input_agrees_with_callable(self):
-        rule = self.make_rule()
-        f = lambda x, p: np.sin(x) * p + 1j * x  # noqa: E731
-        values = f(rule.rule_x.nodes[:, None], rule.rule_p.nodes[None, :])
-        assert integrate_2d(rule, f) == integrate_2d(rule, values)
-
     def test_non_finite_value_names_both_indices(self):
-        rule = self.make_rule(6, 5)
-        values = np.zeros((6, 5))
-        values[2, 4] = np.nan
+        # a grid build names the offending node and the row's real part
+        grid = PlaneGrid.regular(2.0, 2.0, 5, 5)
+        seen = []
+
+        def signal(x):
+            seen.append(x)
+            values = np.exp(-x * x / 2).astype(complex)
+            values[2, 4] = np.nan
+            return values
+
         with pytest.raises(IntegrationDomainError) as exc:
-            integrate_2d(rule, values)
+            engine.sb_field(1.0, signal, grid)
         msg = str(exc.value)
-        assert "(2, 4)" in msg
-        assert f"{rule.rule_x.nodes[2]:.17g}" in msg
-        assert f"{rule.rule_p.nodes[4]:.17g}" in msg
+        assert f"x' = {seen[0][2, 4]:.17g}" in msg
+        assert f"real part {grid.xs[2]:.17g}" in msg
 
     def test_wrong_shape_rejected(self):
+        # a callable that drops the row axis would broadcast silently
+        grid = PlaneGrid.regular(2.0, 2.0, 5, 5)
         with pytest.raises(ValueError, match="shape"):
-            integrate_2d(self.make_rule(6, 5), np.ones((5, 6)))
+            engine.sb_field(1.0, lambda x: np.exp(-x[0] ** 2 / 2), grid)
 
 
 class TestTrapezoid:
@@ -231,7 +260,7 @@ class TestTrapezoid:
         for n in (9, 17, 33, 65, 129):
             xs = np.linspace(-8.0, 8.0, n)
             rule = QuadratureRule.trapezoid(xs)
-            got = integrate_1d(rule, np.exp(-xs * xs)).real
+            got = float(np.exp(-xs * xs) @ rule.absorbed)
             errors.append(abs(got - exact))
         for coarse, fine in zip(errors, errors[1:]):
             assert fine <= coarse / 4 + 1e-13
@@ -243,12 +272,15 @@ class TestTrapezoid:
         values = np.exp(-xs * xs) * (1 + 0.3j * xs)
         rule = QuadratureRule.trapezoid(xs)
         reference = getattr(np, "trapezoid", None) or np.trapz
-        assert integrate_1d(rule, values) == pytest.approx(
+        assert complex(values @ rule.absorbed) == pytest.approx(
             complex(reference(values, xs)), rel=1e-14)
 
     def test_raw_and_absorbed_weights_coincide(self):
+        # no Gaussian part to absorb: the weights are the plain trapezoid ones
         rule = QuadratureRule.trapezoid(np.linspace(0, 1, 11))
-        assert np.array_equal(rule.weights, rule.absorbed)
+        expected = np.full(11, 0.1)
+        expected[[0, -1]] = 0.05
+        np.testing.assert_allclose(rule.absorbed, expected, rtol=1e-14)
 
     def test_decreasing_grid_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
@@ -266,7 +298,7 @@ class TestOscillationBudget:
             rule = QuadratureRule.gauss_hermite(order)
             k = 0.99 * rule.oscillation_limit()
             rule.check_oscillation(k)  # must not raise
-            got = integrate_1d(rule, lambda x, k=k: np.exp(1j * k * x))
+            got = integral(rule, lambda x, k=k: np.exp(1j * k * x))
             exact = SQRT_PI * math.exp(-k * k / 4)
             assert abs(got - exact) <= 1e-14
 
@@ -283,7 +315,7 @@ class TestOscillationBudget:
         # ~4e-9 residual), so the machine-precision claim starts at 32.
         rule = QuadratureRule.gauss_hermite(order)
         k = OSCILLATION_COEFF * math.sqrt(2 * order)
-        got = integrate_1d(rule, lambda x: np.exp(1j * k * x))
+        got = integral(rule, lambda x: np.exp(1j * k * x))
         exact = SQRT_PI * math.exp(-k * k / 4)
         assert abs(got - exact) <= 1e-14
 
